@@ -10,17 +10,26 @@ installed.  This benchmark pins the three performance claims:
    ``LO_CIRCUITS`` circuits: per-tick Python dispatch no longer grows
    with the circuit count.
 2. **Fused re-optimization** — one global placement pass
-   (``Reoptimizer.step_all``) over all circuits beats the retained
-   per-circuit kernel loop (``step_all_percircuit``) at scale, while
-   producing bit-identical migrations.
+   (``Reoptimizer.step_all``) over all circuits.
 3. **Incremental install/uninstall** — under the tenant-churn workload,
    syncing one departure + one arrival into the arena (append rows,
-   tombstone the dead segment) is >=10x faster than the legacy
-   full-recompile sync, while the two modes stay tick-for-tick
-   equivalent and tuple conservation balances every tick.
+   tombstone the dead segment), with tuple conservation balanced every
+   tick.
 
-Set ``BENCH_QUICK=1`` for the small CI smoke sizes (the Python-loop /
-kernel gap shrinks with size, so quick mode asserts smaller floors).
+Claims 2 and 3 were measured against twins that have since been
+deleted — the per-circuit reopt loop and the full-recompile sync; the
+fused pass and the incremental arena each keep only their scalar twin
+as the oracle (pinned by the property suite).  Their last committed
+"before" timings are frozen below as historical constants (measured on
+the 2-vCPU x86_64 Linux development container, CPython 3.11,
+numpy 2.4.6), and the old speedup floors carry forward as absolute
+``after_s`` bounds in full mode: the fused pass at most
+:data:`PERCIRCUIT_REOPT_S` / 1.5, the incremental sync at most
+:data:`FULL_RECOMPILE_SYNC_S` / 10.
+
+Set ``BENCH_QUICK=1`` for the small CI smoke sizes.  Quick mode keeps
+the dispatch-scaling ceiling; no historical baseline exists at quick
+sizes, so the reopt and churn rows are reported without a bound.
 """
 
 from __future__ import annotations
@@ -53,29 +62,19 @@ TIMED_TICKS = 3
 #: Per-circuit tick cost at HI may be at most this multiple of LO's.
 SUBLINEAR_CEILING = 3.0
 REOPT_PASSES = 2 if QUICK else 3
-REOPT_FLOOR = 1.1 if QUICK else 1.5
 #: Tenant-churn stage: installed tenants and timed churn rounds.
 CHURN_NODES, CHURN_CIRCUITS = (36, 40) if QUICK else (64, 250)
 CHURN_ROUNDS = 4 if QUICK else 6
-CHURN_FLOOR = 2.5 if QUICK else 10.0
 
-#: TickRecord fields compared between twin planes.  ``recompiles`` is
-#: excluded by design: it is the mode observable (0 on the incremental
-#: path, >=1 per churn round on the legacy path).
-RECORD_FIELDS = (
-    "emitted",
-    "delivered",
-    "dropped",
-    "shed",
-    "redelivered",
-    "buffered",
-    "network_usage",
-    "data_usage",
-    "cpu_cost",
-    "migrations",
-    "failures",
-    "circuits",
-)
+#: Seconds per full placement pass of the deleted per-circuit reopt
+#: loop (``ARENA_NODES`` = 1000 nodes, ``HI_CIRCUITS`` = 1000 circuits).
+PERCIRCUIT_REOPT_S = 0.07427607566629983
+#: Seconds per churn sync of the deleted full-recompile path (64 nodes,
+#: 250 tenants, one in / one out).
+FULL_RECOMPILE_SYNC_S = 0.026738431666975277
+#: The historical speedup floors, now absolute after_s bounds (full mode).
+REOPT_FLOOR = 1.5
+CHURN_FLOOR = 10.0
 
 
 def _make_overlay(n: int, num_circuits: int, joins: int = JOINS, seed: int = 0) -> Overlay:
@@ -138,93 +137,55 @@ def tick_scaling_timings() -> dict[int, float]:
 
 
 @lru_cache(maxsize=1)
-def reopt_timings() -> tuple[float, float]:
-    """(per-circuit-loop seconds, fused seconds) per full placement pass.
+def reopt_timings() -> float:
+    """Fused seconds per full placement pass over ``HI_CIRCUITS``.
 
-    Twin overlays, twin re-optimizers; migrations are asserted
-    identical pass for pass, so the timed work is equivalent by
-    construction.
+    A warmup pass builds the kernels and the fused arena; the timed
+    passes then reuse the cached arena, as the simulator does.
     """
-    ov_fused = _make_overlay(ARENA_NODES, HI_CIRCUITS, seed=5)
-    ov_loop = _make_overlay(ARENA_NODES, HI_CIRCUITS, seed=5)
-    r_fused = Reoptimizer(
-        ov_fused.cost_space,
-        mapper=ov_fused.exhaustive_mapper(),
+    overlay = _make_overlay(ARENA_NODES, HI_CIRCUITS, seed=5)
+    reopt = Reoptimizer(
+        overlay.cost_space,
+        mapper=overlay.exhaustive_mapper(),
         migration_threshold=0.0,
         kernel_cache={},
     )
-    r_loop = Reoptimizer(
-        ov_loop.cost_space,
-        mapper=ov_loop.exhaustive_mapper(),
-        migration_threshold=0.0,
-        kernel_cache={},
-    )
-    c_fused = list(ov_fused.circuits.values())
-    c_loop = list(ov_loop.circuits.values())
-
-    def _sigs(reports):
-        return [
-            [(m.service_id, m.from_node, m.to_node) for m in r.migrations]
-            for r in reports
-        ]
-
-    # Warmup builds kernels + arena and checks equivalence once.
-    assert _sigs(r_fused.step_all(c_fused)) == _sigs(r_loop.step_all_percircuit(c_loop))
-
-    t_fused = t_loop = 0.0
+    circuits = list(overlay.circuits.values())
+    reopt.step_all(circuits)
+    t_fused = 0.0
     for _ in range(REOPT_PASSES):
         t0 = time.perf_counter()
-        reports_f = r_fused.step_all(c_fused)
+        reopt.step_all(circuits)
         t_fused += time.perf_counter() - t0
-        t0 = time.perf_counter()
-        reports_l = r_loop.step_all_percircuit(c_loop)
-        t_loop += time.perf_counter() - t0
-        assert _sigs(reports_f) == _sigs(reports_l)
-    for name, circuit in ov_fused.circuits.items():
-        assert circuit.placement == ov_loop.circuits[name].placement
-    return t_loop / REOPT_PASSES, t_fused / REOPT_PASSES
+    assert reopt.arena_builds == 1
+    return t_fused / REOPT_PASSES
 
 
 @lru_cache(maxsize=1)
-def churn_sync_timings() -> tuple[float, float]:
-    """(full-recompile seconds, incremental seconds) per churn sync.
+def churn_sync_timings() -> float:
+    """Incremental seconds per churn sync.
 
-    Each churn round retires the oldest tenant and admits a new one on
-    both twins, then times ``DataPlane._sync`` — the arena maintenance
-    the tick would otherwise perform — on each.  Both twins then step,
-    and their traffic records are asserted equal (minus the
-    ``recompiles`` observable) with balanced accounting.
+    Each churn round retires the oldest tenant and admits a new one,
+    then times ``DataPlane._sync`` — the arena maintenance the tick
+    would otherwise perform.  The plane then steps with balanced
+    accounting and no full recompile.
     """
-    fast = tenant_churn_scenario(
-        num_nodes=CHURN_NODES, initial_circuits=CHURN_CIRCUITS,
-        incremental=True, seed=1,
-    )
-    slow = tenant_churn_scenario(
-        num_nodes=CHURN_NODES, initial_circuits=CHURN_CIRCUITS,
-        incremental=False, seed=1,
+    scenario = tenant_churn_scenario(
+        num_nodes=CHURN_NODES, initial_circuits=CHURN_CIRCUITS, seed=1
     )
     # Let traffic settle before churning so conservation sees deliveries.
     for _ in range(3):
-        ra, rb = fast.simulation.step(), slow.simulation.step()
-        assert all(getattr(ra, f) == getattr(rb, f) for f in RECORD_FIELDS)
-
-    t_inc = t_full = 0.0
+        scenario.simulation.step()
+    t_inc = 0.0
     for _ in range(CHURN_ROUNDS):
-        fast.churn_tick()
-        slow.churn_tick()
+        scenario.churn_tick()
         t0 = time.perf_counter()
-        fast.data_plane._sync()
+        scenario.data_plane._sync()
         t_inc += time.perf_counter() - t0
-        t0 = time.perf_counter()
-        slow.data_plane._sync()
-        t_full += time.perf_counter() - t0
-        ra, rb = fast.simulation.step(), slow.simulation.step()
-        assert all(getattr(ra, f) == getattr(rb, f) for f in RECORD_FIELDS), (ra, rb)
-        assert fast.data_plane.accounting()["balanced"]
-        assert slow.data_plane.accounting()["balanced"]
-    assert fast.data_plane.recompiles == 0, "incremental path recompiled"
-    assert slow.data_plane.recompiles >= CHURN_ROUNDS, "legacy path skipped recompiles"
-    return t_full / CHURN_ROUNDS, t_inc / CHURN_ROUNDS
+        scenario.simulation.step()
+        assert scenario.data_plane.accounting()["balanced"]
+    assert scenario.data_plane.recompiles == 0, "incremental path recompiled"
+    return t_inc / CHURN_ROUNDS
 
 
 def test_tick_dispatch_is_sublinear():
@@ -237,24 +198,42 @@ def test_tick_dispatch_is_sublinear():
     )
 
 
-def test_fused_reopt_beats_percircuit():
-    t_loop, t_fused = reopt_timings()
-    assert t_loop / t_fused >= REOPT_FLOOR, (
-        f"fused step_all only {t_loop / t_fused:.2f}x vs per-circuit loop"
+def test_fused_pass_within_historical_bound():
+    t_fused = reopt_timings()
+    if QUICK:
+        return
+    bound = PERCIRCUIT_REOPT_S / REOPT_FLOOR
+    assert t_fused <= bound, (
+        f"fused step_all {t_fused * 1e3:.2f} ms exceeds the absolute bound "
+        f"{bound * 1e3:.2f} ms (frozen per-circuit loop / {REOPT_FLOOR})"
     )
 
 
-def test_incremental_churn_beats_full_recompile():
-    t_full, t_inc = churn_sync_timings()
-    assert t_full / t_inc >= CHURN_FLOOR, (
-        f"incremental churn sync only {t_full / t_inc:.2f}x vs full recompile"
+def test_incremental_churn_within_historical_bound():
+    t_inc = churn_sync_timings()
+    if QUICK:
+        return
+    bound = FULL_RECOMPILE_SYNC_S / CHURN_FLOOR
+    assert t_inc <= bound, (
+        f"incremental churn sync {t_inc * 1e3:.3f} ms exceeds the absolute "
+        f"bound {bound * 1e3:.3f} ms (frozen full recompile / {CHURN_FLOOR})"
     )
 
 
 def test_report_arena():
     times = tick_scaling_timings()
-    t_loop, t_fused = reopt_timings()
-    t_full, t_inc = churn_sync_timings()
+    t_fused = reopt_timings()
+    t_inc = churn_sync_timings()
+    # No historical baseline exists at quick sizes.
+    t_loop = None if QUICK else PERCIRCUIT_REOPT_S
+    t_full = None if QUICK else FULL_RECOMPILE_SYNC_S
+
+    def ratio(before, after):
+        return None if before is None else before / after
+
+    def cell(value, scale=1.0):
+        return "-" if value is None else value * scale
+
     per_lo = times[LO_CIRCUITS] / LO_CIRCUITS
     per_hi = times[HI_CIRCUITS] / HI_CIRCUITS
     rows = [
@@ -268,16 +247,16 @@ def test_report_arena():
         [
             f"reopt pass ({HI_CIRCUITS} circuits)",
             ARENA_NODES,
-            t_loop * 1e3,
+            cell(t_loop, 1e3),
             t_fused * 1e3,
-            t_loop / t_fused,
+            cell(ratio(t_loop, t_fused)),
         ],
         [
             f"churn sync ({CHURN_CIRCUITS} tenants, 1 in / 1 out)",
             CHURN_NODES,
-            t_full * 1e3,
+            cell(t_full, 1e3),
             t_inc * 1e3,
-            t_full / t_inc,
+            cell(ratio(t_full, t_inc)),
         ],
     ]
     report(
@@ -302,14 +281,14 @@ def test_report_arena():
                 "n": HI_CIRCUITS,
                 "before_s": t_loop,
                 "after_s": t_fused,
-                "speedup": t_loop / t_fused,
+                "speedup": ratio(t_loop, t_fused),
             },
             {
                 "op": "churn_sync",
                 "n": CHURN_CIRCUITS,
                 "before_s": t_full,
                 "after_s": t_inc,
-                "speedup": t_full / t_inc,
+                "speedup": ratio(t_full, t_inc),
             },
         ],
         quick=QUICK,

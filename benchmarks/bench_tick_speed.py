@@ -1,30 +1,27 @@
-"""E24 — absolute tick speed: epoch-ring + high-water vs the PR 9 baseline.
+"""E24 — absolute tick speed of the batched data plane.
 
-Earlier benchmarks pinned *relative* floors (vectorized vs per-tuple
-scalar); this one starts the absolute-time trajectory the ROADMAP's
-"raw speed" direction calls for.  It times one full traffic tick of
-the batched data plane in both join-state/admission configurations on
-the same machine, same process, interleaved:
+This benchmark times one full traffic tick of the batched data plane
+(epoch-ring join state, high-water admission ledger) and tracks the
+absolute time release over release.
 
-* **baseline** — ``join_state="twolevel"``, ``admission="frozen"``,
-  ``jit="numpy"``: the exact PR 9 hot path (O(state) ``np.insert``
-  merges, tick-start full state scans), measured fresh rather than
-  read from a stale file so the comparison is apples to apples.
-* **current** — the defaults: epoch-ring join state, high-water
-  admission ledger, ``jit="auto"``.
+It used to time the former hot path (two-level join state with
+``np.insert`` merges, tick-start full state scans) fresh in the same
+process as its "before" column.  That path has been deleted — the data
+plane keeps one batched path and its per-tuple scalar twin as the
+oracle — so the last committed baseline timings are frozen below as
+historical constants (:data:`TWOLEVEL_BASELINE_TICK_S`, measured on the
+2-vCPU x86_64 Linux development container, CPython 3.11, numpy 2.4.6).
+The old ≥1.3× speedup floor carries forward as an absolute bound on the
+current tick: ``after_s <= before_s / 1.3`` at 1000 nodes / 100
+circuits in full mode.
 
-Per-tick :class:`TrafficRecord` equality is asserted for every timed
-tick — the speedup is measured on bit-identical work.  Timing uses the
-minimum over interleaved multi-tick blocks: scheduler noise only ever
-*adds* time, so the block minimum is the stable estimator on a shared
-machine (medians of the same data swing by ±10%).
-
-Full mode asserts the ≥1.3× floor at 1000 nodes / 100 circuits and
-also reports the 4000 / 1000 scale, where the baseline's O(state)
-re-sorts hurt more.  ``after_s`` lands in ``BENCH_E24.json`` so
-``check_regression.py`` tracks the absolute trend release over
-release.  Set ``BENCH_QUICK=1`` for the small CI smoke sizes (no
-floor assert there: tiny state flatters the baseline).
+Timing uses the minimum over multi-tick blocks: scheduler noise only
+ever *adds* time, so the block minimum is the stable estimator on a
+shared machine (medians of the same data swing by ±10%).  ``after_s``
+lands in ``BENCH_E24.json`` so ``check_regression.py`` tracks the
+absolute trend.  Set ``BENCH_QUICK=1`` for the small CI smoke sizes
+(no historical baseline exists at those sizes, so quick mode reports
+without a bound).
 """
 
 from __future__ import annotations
@@ -49,10 +46,14 @@ QUICK = os.environ.get("BENCH_QUICK", "") == "1"
 SCALES = [(150, 20, 2)] if QUICK else [(1000, 100, 3), (4000, 1000, 3)]
 #: Ticks to reach steady-state join-state occupancy before timing.
 WARMUP_TICKS = 30 if QUICK else 100
-#: Ticks per timed block; blocks alternate baseline/current.
+#: Ticks per timed block, and timed blocks per scale.
 BLOCK_TICKS = 3 if QUICK else 5
 BLOCK_ROUNDS = 6 if QUICK else 12
-#: Asserted in full mode at the (1000, 100) row only.
+#: Seconds per tick of the deleted two-level/full-scan path, by node
+#: count (the last committed full-mode measurement of it).
+TWOLEVEL_BASELINE_TICK_S = {1000: 0.004613785599940456, 4000: 0.05270153079982265}
+#: The historical speedup floor, now an absolute bound in full mode at
+#: the (1000, 100) row: after_s <= TWOLEVEL_BASELINE_TICK_S[1000] / floor.
 TICK_SPEEDUP_FLOOR = 1.3
 
 
@@ -96,60 +97,45 @@ def _overlay(n: int, num_circuits: int, joins: int, seed: int = 0) -> Overlay:
 
 @lru_cache(maxsize=None)
 def tick_speed_timings(n: int, circuits: int, joins: int):
-    """(baseline s/tick, current s/tick, tuples/tick) at one scale.
+    """(current s/tick, tuples/tick) at one scale.
 
-    Twin planes share the overlay and RNG seed; admission prices are
-    live (default :class:`LoadModel`, probe cost active) but capacity
+    Admission prices are live (default :class:`LoadModel`, probe cost
+    active, so the high-water ledger is read every tick) but capacity
     is effectively unbounded so the timed work is the pure tick
-    machinery, not drop bookkeeping.  Every timed tick's record is
-    asserted equal across the twins.
+    machinery, not drop bookkeeping.  Conservation is asserted after
+    the timed blocks.
     """
     overlay = _overlay(n, circuits, joins)
-    model = LoadModel()
-    cap = 1e9
-    baseline = DataPlane(
-        overlay,
-        RuntimeConfig(
-            seed=3, node_capacity=cap, load_model=model,
-            join_state="twolevel", admission="frozen", jit="numpy",
-        ),
+    plane = DataPlane(
+        overlay, RuntimeConfig(seed=3, node_capacity=1e9, load_model=LoadModel())
     )
-    current = DataPlane(
-        overlay, RuntimeConfig(seed=3, node_capacity=cap, load_model=model)
-    )
-    tuples = 0
     for _ in range(WARMUP_TICKS):
-        r0 = baseline.step()
-        r1 = current.step()
-        assert r0 == r1
-    t_base: list[float] = []
-    t_cur: list[float] = []
+        plane.step()
+    times: list[float] = []
+    tuples = 0
     for _ in range(BLOCK_ROUNDS):
         t0 = time.perf_counter()
-        records_base = [baseline.step() for _ in range(BLOCK_TICKS)]
-        t_base.append((time.perf_counter() - t0) / BLOCK_TICKS)
-        t0 = time.perf_counter()
-        records_cur = [current.step() for _ in range(BLOCK_TICKS)]
-        t_cur.append((time.perf_counter() - t0) / BLOCK_TICKS)
-        assert records_base == records_cur
-        tuples = int(np.mean([r.processed + r.emitted for r in records_cur]))
-    assert baseline.accounting()["balanced"]
-    assert current.accounting()["balanced"]
-    return min(t_base), min(t_cur), tuples
+        records = [plane.step() for _ in range(BLOCK_TICKS)]
+        times.append((time.perf_counter() - t0) / BLOCK_TICKS)
+        tuples = int(np.mean([r.processed + r.emitted for r in records]))
+    assert plane.accounting()["balanced"]
+    return min(times), tuples
 
 
 def test_report_tick_speed():
     rows = []
     entries = []
     for n, circuits, joins in SCALES:
-        t_before, t_after, tuples = tick_speed_timings(n, circuits, joins)
+        t_after, tuples = tick_speed_timings(n, circuits, joins)
+        t_before = None if QUICK else TWOLEVEL_BASELINE_TICK_S[n]
+        speedup = t_before / t_after if t_before is not None else None
         rows.append(
             [
                 f"tick ({circuits} circuits, ~{tuples} tuples)",
                 n,
-                t_before * 1e3,
+                "-" if t_before is None else t_before * 1e3,
                 t_after * 1e3,
-                t_before / t_after,
+                "-" if speedup is None else speedup,
             ]
         )
         entries.append(
@@ -160,20 +146,21 @@ def test_report_tick_speed():
                 "tuples_per_tick": tuples,
                 "before_s": t_before,
                 "after_s": t_after,
-                "speedup": t_before / t_after,
+                "speedup": speedup,
             }
         )
     report(
         "E24",
-        "Absolute tick speed: epoch-ring + high-water vs PR 9 two-level baseline"
+        "Absolute tick speed vs the frozen two-level baseline"
         + (" [quick]" if QUICK else ""),
-        ["kernel", "n", "baseline ms", "current ms", "speedup"],
+        ["kernel", "n", "two-level ms", "current ms", "speedup"],
         rows,
     )
     write_bench_json("E24", entries, quick=QUICK)
     if not QUICK:
         gate = next(e for e in entries if e["n"] == 1000)
-        assert gate["speedup"] >= TICK_SPEEDUP_FLOOR, (
-            f"epoch-ring + high-water tick only {gate['speedup']:.2f}x vs the "
-            f"two-level/frozen baseline (floor {TICK_SPEEDUP_FLOOR}x)"
+        bound = TWOLEVEL_BASELINE_TICK_S[1000] / TICK_SPEEDUP_FLOOR
+        assert gate["after_s"] <= bound, (
+            f"tick {gate['after_s'] * 1e3:.3f} ms exceeds the absolute bound "
+            f"{bound * 1e3:.3f} ms (frozen two-level baseline / {TICK_SPEEDUP_FLOOR})"
         )

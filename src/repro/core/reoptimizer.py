@@ -259,9 +259,9 @@ class _ReoptArena:
 
     All fused reductions visit each circuit's entries contiguously in
     the same order as the per-circuit kernels (``np.add.at`` is
-    unbuffered and the evaluators are elementwise), so results are
-    bit-identical to :meth:`Reoptimizer.step_all_percircuit` — pinned
-    by the arena property tests.
+    unbuffered and the evaluators are elementwise), so each circuit's
+    slice equals what its own kernel computes; the scalar twin
+    :meth:`Reoptimizer.step_all_scalar` pins the resulting decisions.
 
     The arena holds *copies* of each kernel's rate columns; it notices
     in-place re-pricing (``_CircuitKernel.set_rates``, driven by the
@@ -734,9 +734,10 @@ class Reoptimizer:
         **one** speculative candidate-pricing sweep — no per-circuit
         kernel dispatch.  Only the accept/revert decisions stay
         sequential per circuit (they must: the hysteresis threshold
-        compares against the live running total).  Bit-identical to
-        :meth:`step_all_percircuit`; reports carry migrations only, as
-        there.
+        compares against the live running total).  Reports carry
+        migrations only — the full :class:`CircuitCost` breakdowns
+        (which need the consumer-latency DP) are skipped in this bulk
+        path.  :meth:`step_all_scalar` is the per-circuit oracle.
         """
         reports = [ReoptimizationReport() for _ in circuits]
         kernels, hosts_list, active = self._collect_active(circuits)
@@ -756,7 +757,7 @@ class Reoptimizer:
         # One global latency sweep prices every circuit's current links;
         # the per-circuit total then reduces slices exactly the way
         # ``_CircuitKernel.total`` does (same dot, same distinct-host
-        # penalty), so accept thresholds match the per-circuit path.
+        # penalty), so accept thresholds match a per-circuit pass.
         link_lat = self.evaluator.latency_array(
             ghosts[arena.link_src], ghosts[arena.link_dst]
         )
@@ -779,36 +780,6 @@ class Reoptimizer:
                     usage + self.load_weight * penalty,
                 ),
             )
-        return reports
-
-    def step_all_percircuit(
-        self, circuits: list[Circuit]
-    ) -> list[ReoptimizationReport]:
-        """Per-circuit kernel dispatch, mapped in a single batch.
-
-        The pre-arena bulk path, retained as the fused :meth:`step_all`'s
-        reference twin: each circuit's spring targets and speculative
-        prices come from its own kernel; only ``map_coordinates`` is
-        shared.  Reports carry migrations only — the full
-        :class:`CircuitCost` breakdowns (which need the consumer-latency
-        DP) are skipped in this bulk path.
-        """
-        reports = [ReoptimizationReport() for _ in circuits]
-        kernels, hosts_list, active = self._collect_active(circuits)
-        if not active:
-            return reports
-        chunks = [
-            self._full_targets(kernel, hosts)
-            for kernel, hosts in zip(kernels, hosts_list)
-        ]
-        candidates, _ = self.mapper.map_coordinates(np.vstack(chunks))
-        offset = 0
-        for kernel, hosts, i in zip(kernels, hosts_list, active):
-            m = len(kernel.unpinned_sids)
-            reports[i].migrations, _ = self._accept_pass(
-                circuits[i], kernel, hosts, candidates[offset : offset + m]
-            )
-            offset += m
         return reports
 
     def step_all_scalar(self, circuits: list[Circuit]) -> list[ReoptimizationReport]:

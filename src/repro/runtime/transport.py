@@ -49,7 +49,6 @@ import heapq
 
 import numpy as np
 
-from repro.runtime import jit as jit_kernels
 from repro.runtime.arena import ScratchArena
 from repro.runtime.hashing import route_bucket, route_bucket_int
 
@@ -80,16 +79,8 @@ class ArrayTransport:
 
     _INITIAL = 1024
 
-    def __init__(
-        self,
-        scratch: ScratchArena | None = None,
-        kernels: jit_kernels.Kernels | None = None,
-    ) -> None:
+    def __init__(self, scratch: ScratchArena | None = None) -> None:
         self._scratch = scratch or ScratchArena()
-        # Arrival-compaction kernel tier (see repro.runtime.jit); the
-        # owning data plane passes its resolved trio, standalone use
-        # defaults to the NumPy reference.
-        self._jit = kernels or jit_kernels.Kernels("numpy")
         self._cap = self._INITIAL
         self._arrival = np.empty(self._cap, dtype=np.int64)
         self._op = np.empty(self._cap, dtype=np.int64)
@@ -188,10 +179,10 @@ class ArrayTransport:
         c = self._count
         if c == 0:
             return None
-        # One partition pass over the arrival column (the configured
-        # kernel tier; the NumPy reference is a mask + two flatnonzero
-        # sweeps) yields the stable due / survivor index split.
-        idx, keep = self._jit.due_partition(self._arrival[:c], now)
+        # One mask over the arrival column yields the stable due /
+        # survivor index split.
+        mask = self._arrival[:c] <= now
+        idx = np.flatnonzero(mask)
         hits = idx.size
         if hits == 0:
             return None
@@ -205,6 +196,7 @@ class ArrayTransport:
             out = scratch.array("due_" + name, hits, col.dtype)
             np.take(col[:c], idx, out=out)
             batch[name] = out
+        keep = np.flatnonzero(~mask)
         survivors = keep.size
         for name in ("_arrival", "_op", "_port", "_key", "_ts", "_size", "_seq"):
             col = getattr(self, name)
@@ -376,9 +368,8 @@ class ReliableTransport(ArrayTransport):
         self,
         max_buffer: int = 4096,
         scratch: ScratchArena | None = None,
-        kernels: jit_kernels.Kernels | None = None,
     ) -> None:
-        super().__init__(scratch, kernels)
+        super().__init__(scratch)
         if max_buffer < 0:
             raise ValueError("max_buffer must be non-negative")
         self.max_buffer = max_buffer

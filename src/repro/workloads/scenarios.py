@@ -543,10 +543,9 @@ class TenantChurnScenario:
     what incremental segment install/tombstone amortizes.
 
     Circuit construction is fully deterministic in ``(seed, tenant
-    index)``, so two scenarios built with the same arguments but
-    different :class:`~repro.runtime.dataplane.RuntimeConfig` modes
-    (incremental arena vs legacy full-recompile) see bit-identical
-    workloads — the property tests drive such twins in lockstep.
+    index)``, so two scenarios built with the same arguments see
+    bit-identical workloads — the property tests drive a vectorized
+    and a scalar-twin scenario in lockstep.
 
     Attributes:
         overlay: the assembled overlay with the initial tenants.
@@ -606,7 +605,6 @@ def tenant_churn_scenario(
     initial_circuits: int = 8,
     node_capacity: float | None = 60.0,
     reopt_interval: int = 0,
-    incremental: bool = True,
     compact_threshold: float = 0.25,
     seed: int = 0,
 ) -> TenantChurnScenario:
@@ -615,9 +613,8 @@ def tenant_churn_scenario(
     Builds a geometric overlay, installs ``initial_circuits`` optimized
     tenant circuits, and returns a scenario whose :meth:`~
     TenantChurnScenario.churn_tick` rolls the tenant population between
-    simulation steps.  ``incremental`` / ``compact_threshold`` select
-    the data plane's arena mode — the E21 benchmark and the arena
-    property tests run incremental/legacy twins of this fixture.
+    simulation steps.  ``compact_threshold`` sets the tombstone
+    fraction at which the data plane's arena compacts.
     Re-optimization is off by default: the fixture isolates *structural*
     churn cost (install/uninstall/compaction), not placement quality.
     """
@@ -636,7 +633,6 @@ def tenant_churn_scenario(
         RuntimeConfig(
             seed=seed + 4,
             node_capacity=node_capacity,
-            incremental=incremental,
             compact_threshold=compact_threshold,
         ),
     )

@@ -1,14 +1,20 @@
-"""Properties of the global circuit arena runtime path (PR 7).
+"""Properties of the global circuit arena runtime path.
 
-The arena discipline extends PR-1/PR-2 twin-testing one level up: the
-incremental arena data plane (segment install/tombstone/compaction,
-cached host columns, scratch buffers) must reproduce the legacy
-full-recompile path *tick for tick* — every TrafficRecord/TickRecord
-field except ``recompiles`` (mode-dependent by design) bit-for-bit for
-counts and cost, 1e-9 for measured usage — under chaos, mid-run
-install/uninstall, and rolling tenant churn.  Compaction must be
-unobservable: compacting at any tick leaves every subsequent record
-identical to a twin that never compacts.
+The arena data plane maintains one CSR compilation incrementally
+(segment install/tombstone/compaction, cached host columns, scratch
+buffers).  Two oracles pin it:
+
+* the scalar twin (``step_scalar``) under the same churn — every
+  TrafficRecord/TickRecord field bit-for-bit for counts and cost, 1e-9
+  for measured usage — under chaos, mid-run install/uninstall, and
+  rolling tenant churn;
+* a freshly compiled ``DataPlane`` on the same overlay: after every
+  churn round its op/link columns, CSR out-link index and source order
+  equal the incremental plane's live rows, row for row (gids excepted —
+  a fresh plane numbers them anew).
+
+Compaction must be unobservable: compacting at any tick leaves every
+subsequent record identical to a twin that never compacts.
 """
 
 import numpy as np
@@ -69,7 +75,7 @@ def traffic_overlay(seed=0, num_circuits=3, side=5):
     return overlay, pinned
 
 
-def chaotic_simulation(seed=0, capacity=40.0, fused=True, **runtime_kwargs):
+def chaotic_simulation(seed=0, capacity=40.0, **runtime_kwargs):
     overlay, pinned = traffic_overlay(seed)
     n = overlay.num_nodes
     plane = DataPlane(
@@ -82,20 +88,80 @@ def chaotic_simulation(seed=0, capacity=40.0, fused=True, **runtime_kwargs):
         churn=ChurnProcess(
             n, fail_prob=0.01, recover_prob=0.2, protected=pinned, seed=3
         ),
-        config=SimulationConfig(
-            reopt_interval=3, migration_threshold=0.0, fused_reopt=fused
-        ),
+        config=SimulationConfig(reopt_interval=3, migration_threshold=0.0),
         data_plane=plane,
     )
 
 
 def churn_overlay_pair(seed=6):
-    """Twin overlays + planes, one incremental and one legacy."""
+    """Twin overlays + planes: one for step(), one for step_scalar()."""
     ov_a, _ = traffic_overlay(seed=seed)
     ov_b, _ = traffic_overlay(seed=seed)
-    a = DataPlane(ov_a, RuntimeConfig(seed=5, incremental=True))
-    b = DataPlane(ov_b, RuntimeConfig(seed=5, incremental=False))
+    a = DataPlane(ov_a, RuntimeConfig(seed=5))
+    b = DataPlane(ov_b, RuntimeConfig(seed=5))
     return ov_a, ov_b, a, b
+
+
+#: Per-op columns a fresh compile must reproduce on the live rows.
+OP_COLUMNS = (
+    "_kind",
+    "_in_deg",
+    "_out_deg",
+    "_is_sink",
+    "_kind_cost",
+    "_op_sel",
+    "_op_factor",
+    "_op_pmatch",
+    "_op_domain",
+    "_op_replicas",
+    "_slack",
+)
+#: Per-link columns (``_link_dst`` / ``_link_src_op`` are op indices and
+#: are compared after renumbering).
+LINK_COLUMNS = ("_link_port", "_link_group", "_link_index")
+
+
+def assert_matches_fresh_compile(plane):
+    """The incremental arena's live rows equal a fresh compile's.
+
+    The fresh plane compiles the overlay's current circuits in install
+    order with no holes; the incremental plane's live op/link rows,
+    renumbered densely, must match it column for column — including the
+    CSR out-link index and the source order that fixes the Poisson draw.
+    Gids are excluded: a fresh plane numbers them anew.
+    """
+    fresh = DataPlane(plane.overlay, plane.config)
+    live_ops = plane._arena.live_op_rows()
+    live_links = plane._arena.live_link_rows()
+    op_rank = np.full(plane._num_ops, -1, dtype=np.int64)
+    op_rank[live_ops] = np.arange(live_ops.size)
+    link_rank = np.full(len(plane._link_names), -1, dtype=np.int64)
+    link_rank[live_links] = np.arange(live_links.size)
+
+    assert [plane._op_names[i] for i in live_ops] == fresh._op_names
+    assert [plane._link_names[i] for i in live_links] == fresh._link_names
+    for name in OP_COLUMNS:
+        np.testing.assert_array_equal(
+            getattr(plane, name)[live_ops], getattr(fresh, name), err_msg=name
+        )
+    for name in LINK_COLUMNS:
+        np.testing.assert_array_equal(
+            getattr(plane, name)[live_links], getattr(fresh, name), err_msg=name
+        )
+    np.testing.assert_array_equal(op_rank[plane._link_dst[live_links]], fresh._link_dst)
+    np.testing.assert_array_equal(
+        op_rank[plane._link_src_op[live_links]], fresh._link_src_op
+    )
+    # CSR: every op with out-links starts at the renumbered row of its
+    # first out-link (zero-degree ops own no row to compare).
+    has_out = fresh._out_deg > 0
+    np.testing.assert_array_equal(
+        link_rank[plane._out_offsets[live_ops][has_out]],
+        fresh._out_offsets[has_out],
+    )
+    np.testing.assert_array_equal(op_rank[plane._src_ops], fresh._src_ops)
+    np.testing.assert_array_equal(plane._src_rate, fresh._src_rate)
+    np.testing.assert_array_equal(plane._src_domain, fresh._src_domain)
 
 
 # ---------------------------------------------------------------------------
@@ -188,34 +254,34 @@ class TestCircuitArena:
 
 
 # ---------------------------------------------------------------------------
-# Incremental arena vs legacy full-recompile equivalence
+# Incremental arena vs the scalar twin and a fresh compile
 # ---------------------------------------------------------------------------
 
 
 class TestArenaEquivalence:
-    def test_twins_agree_under_chaos(self):
-        a = chaotic_simulation(seed=5, incremental=True)
-        b = chaotic_simulation(seed=5, incremental=False)
-        for _ in range(30):
-            assert_records_equal(a.step(), b.step())
+    def test_arena_vs_scalar_under_chaos(self):
+        a = chaotic_simulation(seed=7)
+        b = chaotic_simulation(seed=7)
+        for _ in range(25):
+            ra, rb = a.step(), b.step_scalar()
+            # The fused re-optimizer's decisions match the scalar passes.
+            assert (ra.migrations, ra.failures) == (rb.migrations, rb.failures)
+            assert_records_equal(ra, rb)
         assert a.data_plane.accounting() == b.data_plane.accounting()
         assert a.data_plane.accounting()["balanced"]
-
-    def test_arena_vs_scalar_under_chaos(self):
-        a = chaotic_simulation(seed=7, incremental=True)
-        b = chaotic_simulation(seed=7, incremental=False)
-        for _ in range(25):
-            assert_records_equal(a.step(), b.step_scalar())
-        assert a.data_plane.accounting() == b.data_plane.accounting()
+        assert a.series.total_migrations() > 0
+        for name, circuit in a.overlay.circuits.items():
+            assert circuit.placement == b.overlay.circuits[name].placement
 
     def test_twins_agree_across_install_uninstall_midrun(self):
         ov_a, ov_b, a, b = churn_overlay_pair(seed=6)
         for _ in range(8):
-            assert_records_equal(a.step(), b.step())
+            assert_records_equal(a.step(), b.step_scalar())
         ov_a.uninstall("q1")
         ov_b.uninstall("q1")
         for _ in range(5):
-            assert_records_equal(a.step(), b.step())
+            assert_records_equal(a.step(), b.step_scalar())
+        assert_matches_fresh_compile(a)
         assert a.dropped_uninstalled == b.dropped_uninstalled > 0
         for name in ("q8", "q9"):
             query, stats = random_query(25, PARAMS, name=name, seed=77 + len(name))
@@ -224,39 +290,36 @@ class TestArenaEquivalence:
         ov_a.uninstall("q0")
         ov_b.uninstall("q0")
         for _ in range(10):
-            assert_records_equal(a.step(), b.step())
+            assert_records_equal(a.step(), b.step_scalar())
+        assert_matches_fresh_compile(a)
         assert a.accounting() == b.accounting()
         assert a.accounting()["balanced"]
-        # The incremental plane never fully recompiled; the legacy one did.
-        assert a.recompiles == 0
-        assert b.recompiles >= 2
+        # Install/uninstall churn never fully recompiles on either path.
+        assert a.recompiles == b.recompiles == 0
 
     def test_twins_agree_under_tenant_churn(self):
         a = tenant_churn_scenario(num_nodes=20, initial_circuits=5, seed=11)
-        b = tenant_churn_scenario(
-            num_nodes=20, initial_circuits=5, seed=11, incremental=False
-        )
+        b = tenant_churn_scenario(num_nodes=20, initial_circuits=5, seed=11)
         for tick in range(24):
             a.simulation.step()
-            b.simulation.step()
+            b.simulation.step_scalar()
+            # The step synced the plane to the overlay's circuit set.
+            assert_matches_fresh_compile(a.data_plane)
             if tick % 2 == 0:
                 a.churn_tick()
                 b.churn_tick()
         for ra, rb in zip(a.simulation.series.records, b.simulation.series.records):
             assert_records_equal(ra, rb)
         assert a.data_plane.accounting()["balanced"]
-        assert b.data_plane.accounting()["balanced"]
-        # Compile churn is observable and mode-shaped: the legacy twin
-        # recompiles once for the initial installs (the plane is built
-        # before the tenants arrive) plus once per churn round.
-        assert a.data_plane.recompiles == 0
-        assert b.data_plane.recompiles == 13
-        assert sum(r.recompiles for r in b.simulation.series.records) == 13
+        assert a.data_plane.accounting() == b.data_plane.accounting()
+        # Compile churn is observable: tenant churn never recompiles.
+        assert a.data_plane.recompiles == b.data_plane.recompiles == 0
+        assert a.data_plane.dropped_uninstalled > 0
 
-    def test_replacement_recompiles_both_modes(self):
+    def test_replacement_forces_recompile(self):
         """Same-name circuit replacement forces a logged full recompile."""
         ov, _ = traffic_overlay(seed=4)
-        plane = DataPlane(ov, RuntimeConfig(seed=7, incremental=True))
+        plane = DataPlane(ov, RuntimeConfig(seed=7))
         plane.step()
         assert plane.recompiles == 0
         ov.circuits["q1"] = ov.circuits["q1"].copy()  # equal but not identical
@@ -274,38 +337,6 @@ class TestArenaEquivalence:
 
 
 class TestFusedReopt:
-    def test_fused_step_all_matches_percircuit(self):
-        from repro.core.reoptimizer import Reoptimizer
-
-        ov_a, _ = traffic_overlay(seed=12, num_circuits=4)
-        ov_b, _ = traffic_overlay(seed=12, num_circuits=4)
-        ra = Reoptimizer(
-            ov_a.cost_space,
-            mapper=ov_a.exhaustive_mapper(),
-            migration_threshold=0.0,
-            kernel_cache={},
-        )
-        rb = Reoptimizer(
-            ov_b.cost_space,
-            mapper=ov_b.exhaustive_mapper(),
-            migration_threshold=0.0,
-            kernel_cache={},
-        )
-        for _ in range(4):  # repeated passes exercise the arena cache
-            reps_a = ra.step_all(list(ov_a.circuits.values()))
-            reps_b = rb.step_all_percircuit(list(ov_b.circuits.values()))
-            for pa, pb in zip(reps_a, reps_b):
-                assert [
-                    (m.service_id, m.from_node, m.to_node) for m in pa.migrations
-                ] == [
-                    (m.service_id, m.from_node, m.to_node) for m in pb.migrations
-                ]
-                for ma, mb in zip(pa.migrations, pb.migrations):
-                    assert ma.cost_before == mb.cost_before
-                    assert ma.cost_after == mb.cost_after
-        for name, circuit in ov_a.circuits.items():
-            assert circuit.placement == ov_b.circuits[name].placement
-
     def test_fused_arena_sees_calibrated_rates(self):
         from repro.core.reoptimizer import (
             _ARENA_KEY,
@@ -332,17 +363,6 @@ class TestFusedReopt:
         k = arena.kernels.index(kernel)
         s0, s1 = arena.seg_offsets[k], arena.seg_offsets[k + 1]
         np.testing.assert_array_equal(arena.seg_weight[s0:s1], kernel.seg_weight)
-
-    def test_fused_simulation_twin(self):
-        a = chaotic_simulation(seed=15, fused=True)
-        b = chaotic_simulation(seed=15, fused=False)
-        for _ in range(25):
-            ra, rb = a.step(), b.step()
-            assert (ra.migrations, ra.failures) == (rb.migrations, rb.failures)
-            assert_records_equal(ra, rb)
-            assert ra.network_usage == rb.network_usage
-        for name, circuit in a.overlay.circuits.items():
-            assert circuit.placement == b.overlay.circuits[name].placement
 
 
 # ---------------------------------------------------------------------------
@@ -400,7 +420,7 @@ class TestGidStability:
     def test_gids_survive_install_uninstall_and_compaction(self):
         ov, _ = traffic_overlay(seed=3)
         plane = DataPlane(
-            ov, RuntimeConfig(seed=5, incremental=True, compact_threshold=0.01)
+            ov, RuntimeConfig(seed=5, compact_threshold=0.01)
         )
         plane.step()
         by_key = {

@@ -4,8 +4,8 @@ Same discipline as the data-plane properties: every vectorized path
 keeps a scalar reference consuming identical inputs, and twin instances
 stepped through either path must agree exactly — here extended to the
 retransmit buffer (tuples bound to failed nodes), the controller's
-estimator banks and decisions, and the two-level join-state layout
-(whose merge threshold must be unobservable).
+estimator banks and decisions, and the epoch-ring join-state layout
+(whose flush limit must be unobservable).
 """
 
 import numpy as np
@@ -104,13 +104,14 @@ class TestReliableTwins:
 
 
 class TestJoinStateLayout:
-    """The two-level (base + append buffer) layout is unobservable."""
+    """The epoch-ring layout (sealed chunks + append buffer) is
+    unobservable: the buffer's flush limit never changes a record."""
 
-    @pytest.mark.parametrize("merge_limit", [1, 16, 1 << 30])
-    def test_merge_threshold_never_changes_results(self, merge_limit):
+    @pytest.mark.parametrize("flush_limit", [1, 16, 1 << 30])
+    def test_flush_limit_never_changes_results(self, flush_limit):
         reference = DataPlane(traffic_overlay(seed=11)[0], RuntimeConfig(seed=3, window=30))
         tuned = DataPlane(traffic_overlay(seed=11)[0], RuntimeConfig(seed=3, window=30))
-        tuned._state_merge_limit = merge_limit
+        tuned._epoch_flush_limit = flush_limit
         for _ in range(25):
             rv, rs = tuned.step(), reference.step()
             assert rv == rs
@@ -120,7 +121,7 @@ class TestJoinStateLayout:
         cfg = RuntimeConfig(seed=9, window=40)
         a = DataPlane(traffic_overlay(seed=12)[0], cfg)
         b = DataPlane(traffic_overlay(seed=12)[0], cfg)
-        a._state_merge_limit = 8  # force frequent merges mid-tick
+        a._epoch_flush_limit = 8  # force frequent seals and folds mid-tick
         for _ in range(30):
             assert_traffic_equal(a.step(), b.step_scalar())
         assert a.accounting() == b.accounting()

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from repro.network.dynamics import ChurnProcess, HotspotEvent, LatencyDriftProcess, LoadProcess
-from repro.runtime import jit as jit_kernels
+from repro.core.load_model import LoadModel
 from repro.network.topology import grid_topology
 from repro.runtime.dataplane import (
     DataPlane,
@@ -150,112 +150,57 @@ class TestStepEquivalence:
         assert a.accounting()["balanced"]
 
 
-class TestJoinStateLayouts:
-    """Epoch-ring join state is pinned bit-identical to the two-level
-    reference — and the high-water admission ledger to the frozen-scan
-    reference — under the full chaos mix: churn, live migration,
-    capacity backpressure, and window expiry.  Tiny merge/flush limits
-    force many epoch seals and generation folds, so expiring windows
-    cross epoch boundaries constantly instead of staying inside the
-    append buffer.
+class TestJoinStateVsScalarTwin:
+    """The epoch ring and the high-water admission ledger against the
+    scalar twin's per-key tables, under the full chaos mix: churn, live
+    migration, cost-priced capacity backpressure, and window expiry.
+
+    ``LoadModel()`` prices join probes, so admission reads the ledger
+    every tick; a tiny flush limit forces many epoch seals and
+    generation folds, so expiring windows cross epoch boundaries
+    constantly instead of staying inside the append buffer.
     """
 
-    VARIANTS = [
-        ("epoch", "highwater", "auto"),  # the defaults, jit fallback live
-        ("epoch", "frozen", "numpy"),
-        ("twolevel", "highwater", "numpy"),
-    ]
-
-    @staticmethod
-    def _shrink(sim):
-        sim.data_plane._state_merge_limit = 16
-        sim.data_plane._epoch_flush_limit = 16
-        return sim
-
-    def test_all_layouts_agree_under_chaos(self):
-        common = dict(seed=5, window=8)
-        ref = self._shrink(
-            chaotic_simulation(
-                join_state="twolevel", admission="frozen", jit="numpy", **common
-            )
-        )
-        others = [
-            self._shrink(
-                chaotic_simulation(
-                    join_state=js, admission=adm, jit=jit, **common
-                )
-            )
-            for js, adm, jit in self.VARIANTS
-        ]
+    def test_ring_and_ledger_match_scalar_twin_under_chaos(self):
+        common = dict(seed=5, window=8, load_model=LoadModel())
+        a = chaotic_simulation(**common)
+        b = chaotic_simulation(**common)
+        a.data_plane._epoch_flush_limit = 16
+        ledger_checks = 0
         for _ in range(40):
-            r0 = ref.step()
-            for sim in others:
-                assert sim.step() == r0
-        acct = ref.data_plane.accounting()
+            rv, rs = a.step(), b.step_scalar()
+            assert (rv.migrations, rv.failures) == (rs.migrations, rs.failures)
+            assert_traffic_equal(rv, rs)
+            # Dyadic costs and 1/256-quantized prices: exact equality.
+            assert (rv.cpu_cost, rv.cpu_dropped) == (rs.cpu_cost, rs.cpu_dropped)
+            plane = a.data_plane
+            if not plane._hw_dirty:
+                # The incremental ledger equals the scalar full scan.
+                np.testing.assert_array_equal(
+                    plane._hw_counts.reshape(-1, 2),
+                    b.data_plane._state_counts(),
+                )
+                ledger_checks += 1
+        acct = a.data_plane.accounting()
         assert acct["balanced"]
-        for sim in others:
-            assert sim.data_plane.accounting() == acct
-        # The equivalence exercised real epoch machinery: the ring
-        # sealed chunks and chaos produced churn-driven eviction.
-        epoch_plane = others[0].data_plane
-        assert len(epoch_plane._ring) >= 1
-        assert acct["dropped"] > 0
+        assert acct == b.data_plane.accounting()
+        # The comparison exercised real machinery: the ring sealed
+        # chunks, the ledger was read clean on most ticks, and the
+        # cost-priced gate rejected tuples.
+        assert len(a.data_plane._ring) >= 1
+        assert ledger_checks >= 20
+        assert a.data_plane.dropped_capacity > 0
 
     def test_epoch_scalar_twin_still_agrees(self):
-        """The scalar per-key reference is layout-blind: epoch defaults
-        on the vectorized side must still match it tuple for tuple."""
+        """The same twin comparison under the unit load model."""
         a = chaotic_simulation(seed=7, window=8)
         b = chaotic_simulation(seed=7, window=8)
-        a.data_plane._state_merge_limit = 16
         a.data_plane._epoch_flush_limit = 16
         for _ in range(25):
             rv, rs = a.step(), b.step_scalar()
             assert (rv.migrations, rv.failures) == (rs.migrations, rs.failures)
             assert_traffic_equal(rv, rs)
         assert a.data_plane.accounting() == b.data_plane.accounting()
-
-
-class TestJitTier:
-    """The optional numba tier is a pure accelerator: same records."""
-
-    def test_auto_matches_numpy_bit_for_bit(self):
-        # With numba absent "auto" silently falls back to NumPy; with
-        # numba present it compiles — either way records are identical.
-        a = DataPlane(
-            traffic_overlay(seed=4)[0],
-            RuntimeConfig(seed=7, node_capacity=40.0, jit="auto"),
-        )
-        b = DataPlane(
-            traffic_overlay(seed=4)[0],
-            RuntimeConfig(seed=7, node_capacity=40.0, jit="numpy"),
-        )
-        for _ in range(30):
-            assert a.step() == b.step()
-        assert a.accounting() == b.accounting()
-        assert a.accounting()["balanced"]
-
-    def test_numba_tier_matches_numpy_bit_for_bit(self):
-        if not jit_kernels.numba_available():
-            pytest.skip("numba not installed in this environment")
-        a = DataPlane(
-            traffic_overlay(seed=4)[0],
-            RuntimeConfig(seed=7, node_capacity=40.0, jit="numba"),
-        )
-        b = DataPlane(
-            traffic_overlay(seed=4)[0],
-            RuntimeConfig(seed=7, node_capacity=40.0, jit="numpy"),
-        )
-        for _ in range(30):
-            assert a.step() == b.step()
-        assert a.accounting() == b.accounting()
-
-    def test_explicit_numba_errors_without_numba(self):
-        if jit_kernels.numba_available():
-            pytest.skip("numba installed: the explicit tier works")
-        with pytest.raises(RuntimeError):
-            DataPlane(
-                traffic_overlay(seed=4)[0], RuntimeConfig(seed=7, jit="numba")
-            )
 
 
 class TestConservation:

@@ -414,15 +414,21 @@ class TestReoptimizerEquivalence:
             circuit = _random_placed_circuit(rng, space.num_nodes, name=f"r{offset}")
             circuits_v.append(circuit.copy())
             circuits_s.append(circuit.copy())
-        vec = Reoptimizer(space, migration_threshold=0.01)
+        vec = Reoptimizer(space, migration_threshold=0.01, kernel_cache={})
         sc = Reoptimizer(space, migration_threshold=0.01)
-        reports_v = vec.step_all(circuits_v)
-        reports_s = sc.step_all_scalar(circuits_s)
-        for rv, rs, cv, cs in zip(reports_v, reports_s, circuits_v, circuits_s):
-            assert [(m.service_id, m.to_node) for m in rv.migrations] == [
-                (m.service_id, m.to_node) for m in rs.migrations
-            ]
-            assert cv.placement == cs.placement
+        # Repeated passes reuse the fused arena cached across passes.
+        for _ in range(4):
+            reports_v = vec.step_all(circuits_v)
+            reports_s = sc.step_all_scalar(circuits_s)
+            for rv, rs, cv, cs in zip(reports_v, reports_s, circuits_v, circuits_s):
+                assert [(m.service_id, m.from_node, m.to_node) for m in rv.migrations] == [
+                    (m.service_id, m.from_node, m.to_node) for m in rs.migrations
+                ]
+                for mv, ms in zip(rv.migrations, rs.migrations):
+                    assert mv.cost_before == pytest.approx(ms.cost_before, rel=1e-9)
+                    assert mv.cost_after == pytest.approx(ms.cost_after, rel=1e-9)
+                assert cv.placement == cs.placement
+        assert vec.arena_builds == 1
 
     @pytest.mark.parametrize("seed", range(6))
     def test_evacuate_matches_scalar(self, seed):

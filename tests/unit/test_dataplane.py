@@ -6,7 +6,6 @@ import pytest
 from repro.core.circuit import Circuit, Service
 from repro.network.topology import grid_topology
 from repro.query.operators import ServiceSpec
-from repro.runtime import jit as jit_kernels
 from repro.runtime.dataplane import DataPlane, RuntimeConfig, _JOIN
 from repro.runtime.transport import ArrayTransport, HeapTransport
 from repro.sbon.overlay import Overlay
@@ -120,31 +119,27 @@ class TestRuntimeConfig:
         with pytest.raises(ValueError):
             RuntimeConfig(eviction_slack=-2)
 
-    def test_layout_and_tier_switches_validated(self):
-        with pytest.raises(ValueError):
-            RuntimeConfig(join_state="btree")
-        with pytest.raises(ValueError):
-            RuntimeConfig(admission="lottery")
-        with pytest.raises(ValueError):
-            RuntimeConfig(jit="cython")
-        # Every retained variant still constructs.
-        for join_state in ("epoch", "twolevel"):
-            for admission in ("highwater", "frozen"):
-                RuntimeConfig(join_state=join_state, admission=admission)
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("node_capacity", float("nan")),
+            ("node_capacity", float("inf")),
+            ("tick_ms", float("nan")),
+            ("tick_ms", float("inf")),
+            ("compact_threshold", 2.0),
+            ("compact_threshold", 0.0),
+            ("compact_threshold", float("nan")),
+        ],
+    )
+    def test_rejects_bad_value_at_construction(self, field, value):
+        # A NaN capacity would make every admission comparison false,
+        # and an out-of-range threshold would only fail once the arena
+        # is built — both must fail when the config is.
+        with pytest.raises(ValueError, match=field):
+            RuntimeConfig(**{field: value})
 
-    def test_jit_resolution_contract(self):
-        assert jit_kernels.resolve("numpy").tier == "numpy"
-        auto = jit_kernels.resolve("auto")
-        if jit_kernels.numba_available():
-            assert auto.tier == "numba"
-            assert jit_kernels.resolve("numba").tier == "numba"
-        else:
-            # auto degrades silently; an explicit demand must not.
-            assert auto.tier == "numpy"
-            with pytest.raises(RuntimeError):
-                jit_kernels.resolve("numba")
-        with pytest.raises(ValueError):
-            jit_kernels.resolve_tier("cython")
+    def test_boundary_values_accepted(self):
+        RuntimeConfig(node_capacity=0.0, compact_threshold=1.0)
 
 
 class TestCompile:
