@@ -49,6 +49,7 @@ paths.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -145,16 +146,24 @@ class ControlConfig:
             raise ValueError("warmup must be >= 0 and calibrate_interval > 0")
         if self.min_observations < 1:
             raise ValueError("min_observations must be >= 1")
-        if self.min_rate <= 0:
-            raise ValueError("min_rate must be positive")
+        if not (math.isfinite(self.min_rate) and self.min_rate > 0):
+            raise ValueError("min_rate must be positive and finite")
+        if self.drop_threshold is not None and not 0 <= self.drop_threshold <= 1:
+            raise ValueError("drop_threshold must be a fraction in [0, 1]")
+        for name in ("latency_threshold_ms", "exclude_drop_rate"):
+            value = getattr(self, name)
+            if value is not None and not (math.isfinite(value) and value >= 0):
+                raise ValueError(f"{name} must be non-negative and finite")
         if self.trigger_cooldown < 0:
             raise ValueError("trigger_cooldown must be non-negative")
         if not 0 < self.shed_release <= 1:
             raise ValueError("shed_release must be in (0, 1]")
         if self.calibrate_quantile is not None and not 0 < self.calibrate_quantile < 1:
             raise ValueError("calibrate_quantile must be in (0, 1)")
-        if self.cpu_ref is not None and self.cpu_ref <= 0:
-            raise ValueError("cpu_ref must be positive")
+        for name in ("shed_limit", "cpu_ref"):
+            value = getattr(self, name)
+            if value is not None and not (math.isfinite(value) and value > 0):
+                raise ValueError(f"{name} must be positive and finite")
         if self.buffer_evacuate_backlog is not None and self.buffer_evacuate_backlog < 1:
             raise ValueError("buffer_evacuate_backlog must be >= 1")
 

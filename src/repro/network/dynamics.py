@@ -24,11 +24,23 @@ The pre-vectorization per-node / per-pair Python loops are retained as
 ``step_scalar`` / ``loads_scalar`` references that consume the *same*
 draw, so equivalence tests can pin the kernels element-for-element
 (see ``tests/property/test_vectorized_equivalence.py``).
+
+Latency drift is the largest substrate cost (an O(n^2) draw and
+scatter per tick) and its next state depends only on its own RNG and
+flat state, so it can run ahead: :meth:`LatencyDriftProcess.begin`
+starts the next tick's walk on one worker thread shared by the whole
+process, and the following :meth:`LatencyDriftProcess.step` waits for
+it.  The worker runs the same kernel as an inline step and consumes
+the same draws, so overlapping changes no value.  Each tick's matrix
+is freshly allocated by the calling thread, so returned snapshots stay
+frozen while an advance is in flight.
 """
 
 from __future__ import annotations
 
 import math
+import os
+from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -36,6 +48,26 @@ import numpy as np
 from repro.network.latency import LatencyMatrix
 
 __all__ = ["LoadProcess", "LatencyDriftProcess", "ChurnProcess", "HotspotEvent"]
+
+#: The process's one drift worker thread, created on first use and
+#: shared by every :class:`LatencyDriftProcess`.
+_WORKER: ThreadPoolExecutor | None = None
+
+
+def _drift_worker() -> ThreadPoolExecutor:
+    global _WORKER
+    if _WORKER is None:
+        _WORKER = ThreadPoolExecutor(max_workers=1, thread_name_prefix="latency-drift")
+    return _WORKER
+
+
+def _forget_worker() -> None:
+    # A forked child inherits the executor but not its thread.
+    global _WORKER
+    _WORKER = None
+
+
+os.register_at_fork(after_in_child=_forget_worker)
 
 
 @dataclass(frozen=True)
@@ -181,9 +213,13 @@ class LatencyDriftProcess:
     and pulled gently back toward its base value, so latencies wander
     but do not diverge.  Symmetry and positivity are preserved.
 
-    One ``(n*(n-1)/2,)`` normal draw per tick covers the strict upper
-    triangle; the update is applied to the full matrix with vectorized
-    scatter + transpose.
+    The state is the flat strict upper triangle; one
+    ``(n*(n-1)/2,)`` normal draw per tick advances it, and the result
+    is scattered through precomputed linear indices into a fresh
+    matrix, so every returned snapshot stays frozen.  :meth:`begin`
+    starts the next advance on the drift worker thread and the next
+    :meth:`step` collects it; between the two calls the process must
+    not be touched.
     """
 
     def __init__(
@@ -193,20 +229,29 @@ class LatencyDriftProcess:
         reversion: float = 0.05,
         seed: int = 0,
     ):
-        if drift_sigma < 0 or not 0 <= reversion <= 1:
-            raise ValueError("invalid drift parameters")
-        self._base = base.values.copy()
-        self._current = base.values.copy()
+        if not (math.isfinite(drift_sigma) and drift_sigma >= 0):
+            raise ValueError("drift_sigma must be non-negative and finite")
+        if not 0 <= reversion <= 1:
+            raise ValueError("reversion must be in [0, 1]")
         self._drift_sigma = drift_sigma
         self._reversion = reversion
         self._rng = np.random.default_rng(seed)
         self.tick = 0
-        n = self._base.shape[0]
-        self._triu = np.triu_indices(n, k=1)
-        # Flat upper-triangle state plus the constant reversion pull,
-        # so a step is pure elementwise math + two scatters.
-        self._flat = self._current[self._triu].copy()
-        self._rev_base = self._reversion * self._base[self._triu]
+        # Snapshots are never written, so the base matrix itself is the
+        # tick-0 snapshot.
+        self._current = base.values
+        n = self._current.shape[0]
+        self._n = n
+        rows, cols = np.triu_indices(n, k=1)
+        # Linear indices of each upper-triangle pair and of its mirror.
+        self._upper = rows * n + cols
+        self._lower = cols * n + rows
+        # Flat state, the buffer the next state is drawn into, and the
+        # constant reversion pull.
+        self._flat = self._current.reshape(-1)[self._upper]
+        self._spare = np.empty_like(self._flat)
+        self._rev_base = self._reversion * self._flat
+        self._pending: tuple[Future, np.ndarray] | None = None
 
     def current(self) -> LatencyMatrix:
         """The latency matrix as of the current tick."""
@@ -214,29 +259,53 @@ class LatencyDriftProcess:
         # construction, so skip the O(n^2) re-validation every tick.
         return LatencyMatrix._wrap(self._current)
 
-    def _draw(self) -> np.ndarray:
-        """The one per-tick upper-triangle noise draw."""
-        return self._rng.normal(0.0, self._drift_sigma, size=self._triu[0].shape[0])
+    def _advance(self, out: np.ndarray) -> None:
+        """Walk one tick: the next flat state into ``_spare``, its matrix into ``out``.
+
+        The one fast-path kernel, run inline or on the drift worker.  It
+        reads and writes only this process's own state.
+        ``standard_normal * sigma`` is ``normal(0, sigma)`` bit for bit.
+        """
+        noise = self._rng.standard_normal(out=self._spare)
+        np.multiply(noise, self._drift_sigma, out=noise)
+        np.exp(noise, out=noise)
+        np.multiply(self._flat, noise, out=noise)  # drifted
+        np.multiply(noise, 1 - self._reversion, out=noise)
+        np.add(noise, self._rev_base, out=noise)
+        dest = out.reshape(-1)
+        dest[self._upper] = noise
+        dest[self._lower] = noise
+        dest[:: self._n + 1] = 0.0
+
+    def begin(self) -> None:
+        """Start the next tick's walk on the drift worker thread.
+
+        The matrix is allocated here, on the calling thread.  The next
+        :meth:`step` waits for the walk and installs it as its tick.
+        """
+        if self._pending is not None:
+            raise RuntimeError("a drift advance is already in flight")
+        out = np.empty((self._n, self._n))
+        self._pending = (_drift_worker().submit(self._advance, out), out)
 
     def step(self, ticks: int = 1) -> LatencyMatrix:
-        """Advance the walk and return the new matrix."""
+        """Advance the walk and return the new matrix.
+
+        The first tick collects the advance :meth:`begin` started, if
+        any; the others are computed inline.
+        """
         if ticks < 0:
             raise ValueError("ticks must be non-negative")
-        rows, cols = self._triu
         for _ in range(ticks):
-            noise = self._draw()
-            np.exp(noise, out=noise)
-            np.multiply(self._flat, noise, out=noise)  # drifted
-            np.multiply(noise, 1 - self._reversion, out=noise)
-            np.add(noise, self._rev_base, out=noise)
-            self._flat = noise
-            # Rebind to a fresh matrix so previously returned snapshots
-            # stay frozen (callers may record the drift trajectory).
-            current = np.empty_like(self._current)
-            current[rows, cols] = noise
-            current[cols, rows] = noise
-            np.fill_diagonal(current, 0.0)
-            self._current = current
+            if self._pending is not None:
+                future, out = self._pending
+                self._pending = None
+                future.result()
+            else:
+                out = np.empty((self._n, self._n))
+                self._advance(out)
+            self._flat, self._spare = self._spare, self._flat
+            self._current = out
             self.tick += 1
         return self.current()
 
@@ -244,24 +313,23 @@ class LatencyDriftProcess:
         """Per-pair Python-loop step over the same draw (scalar reference)."""
         if ticks < 0:
             raise ValueError("ticks must be non-negative")
-        rows, cols = self._triu
+        if self._pending is not None:
+            raise RuntimeError("collect the in-flight drift advance with step() first")
+        rows, cols = np.divmod(self._upper, self._n)
         for _ in range(ticks):
-            noise = self._draw()
+            noise = self._rng.normal(0.0, self._drift_sigma, size=rows.shape[0])
             current = self._current.copy()  # freeze prior snapshots
             for k in range(noise.shape[0]):
                 i = rows[k]
                 j = cols[k]
                 drifted = current[i, j] * math.exp(noise[k])
-                updated = (
-                    self._reversion * self._base[i, j]
-                    + (1 - self._reversion) * drifted
-                )
+                updated = self._rev_base[k] + (1 - self._reversion) * drifted
                 current[i, j] = updated
                 current[j, i] = updated
             self._current = current
             self.tick += 1
-        self._flat = self._current[rows, cols]  # keep the fast path in sync
-        return LatencyMatrix._wrap(self._current)
+        np.take(self._current, self._upper, out=self._flat)  # keep the fast path in sync
+        return self.current()
 
 
 class ChurnProcess:

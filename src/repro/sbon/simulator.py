@@ -3,11 +3,14 @@
 The simulation advances in discrete ticks.  Each tick:
 
 1. the background-load process steps (and hotspots fire),
-2. optional churn fails/recovers nodes; failed hosts are evacuated,
-3. the cost space refreshes its scalar (load) dimensions,
-4. every ``reopt_interval`` ticks, the re-optimizer runs one local pass
-   per installed circuit and applies the resulting migrations,
-5. the true network usage and load statistics are recorded.
+2. the drifted latency matrix is installed,
+3. optional churn fails/recovers nodes; failed hosts are evacuated,
+4. the cost space refreshes its scalar (load) dimensions, and every
+   ``reopt_interval`` ticks the re-optimizer runs one local pass per
+   installed circuit and applies the resulting migrations,
+5. the optional data plane executes, then the controller (6) and the
+   autoscaler (6b) act on its measurements,
+7. the true network usage and load statistics are recorded.
 
 This is the harness behind the re-optimization experiments (E7): with
 re-optimization disabled the usage series degrades as conditions drift;
@@ -39,10 +42,16 @@ changes apply as one mask diff (``Overlay.apply_liveness``), the cost
 space refreshes all scalar dimensions in one ``update_metrics`` batch,
 the re-optimizer prices every installed circuit from one batched
 mapping pass (``Reoptimizer.step_all``), and the usage/load statistics
-are single array reductions.  :meth:`step_scalar` composes the retained
-per-node / per-pair / per-candidate scalar references over the *same*
-RNG draws, serving as the equivalence ground truth and the before-side
-of the E17 benchmark.
+are single array reductions.  Latency drift takes no input from the
+tick, so the vectorized step overlaps it with phases 3-6b: phase 2
+installs the matrix prepared during the previous tick and starts the
+next tick's walk on the drift worker thread, and a drift step after
+phase 6b waits for it (see :mod:`repro.network.dynamics`).  Nothing is
+in flight once :meth:`Simulation.step` returns; the drift process then
+already holds the next tick's matrix.  :meth:`step_scalar` composes the
+retained per-node / per-pair / per-candidate scalar references over the
+*same* RNG draws, serving as the equivalence ground truth and the
+before-side of the E17 benchmark.
 """
 
 from __future__ import annotations
@@ -116,6 +125,9 @@ class Simulation:
             self.data_plane = data_plane
         self.series = TimeSeries()
         self.tick = 0
+        # True while the drift process holds the next tick's matrix,
+        # prepared during the previous vectorized step.
+        self._drift_ahead = False
         # Re-optimizer decision counters, accumulated across the fresh
         # per-pass Reoptimizer instances (observability only).
         self.reopt_accepts = 0
@@ -207,89 +219,109 @@ class Simulation:
             if prof is not None:
                 prof.end()
 
-        # 2. Latency drift.
-        if self.latency_drift is not None:
+        # 2. Latency drift.  The vectorized path installs the matrix
+        # prepared during the previous tick (computed inline when there
+        # is none) and starts the next tick's walk on the drift worker,
+        # where it overlaps phases 3-6b; the scalar path steps inline.
+        drift = self.latency_drift
+        overlap = drift is not None and not scalar
+        if drift is not None:
             if prof is not None:
                 prof.begin("drift")
-            self.overlay.latencies = (
-                self.latency_drift.step_scalar()
-                if scalar
-                else self.latency_drift.step()
-            )
+            if self._drift_ahead:
+                self.overlay.latencies = drift.current()
+            elif scalar:
+                self.overlay.latencies = drift.step_scalar()
+            else:
+                self.overlay.latencies = drift.step()
+            self._drift_ahead = False
+            if overlap:
+                drift.begin()
             if prof is not None:
                 prof.end()
 
-        # 3. Churn: fail nodes, evacuate their services.
-        if self.churn is not None:
-            if prof is not None:
-                prof.begin("churn")
-            newly_failed = (
-                self.churn.step_scalar() if scalar else self.churn.step()
-            )
-            failures = len(newly_failed)
-            self.overlay.apply_liveness(self.churn.alive_mask())
-            if newly_failed:
-                self._evacuate(newly_failed, scalar=scalar)
-            if prof is not None:
-                prof.end()
-
-        # 4. Refresh cost space; maybe re-optimize.
-        if prof is not None:
-            prof.begin("reopt")
-        self.overlay.refresh_cost_space()
-        if (
-            self.config.reopt_interval
-            and self.tick % self.config.reopt_interval == 0
-        ):
-            migrations += self._reoptimize_all(scalar=scalar)
-        if prof is not None:
-            prof.end()
-
-        # 5. Execute the data plane: real tuples flow over the (possibly
-        # just-migrated) placements, re-homing in-flight traffic.
-        traffic = None
-        if self.data_plane is not None:
-            if prof is not None:
-                prof.begin("data_plane")
-            traffic = (
-                self.data_plane.step_scalar() if scalar else self.data_plane.step()
-            )
-            if prof is not None:
-                prof.end()
-
-        # 6. Close the loop: the controller ingests the measurements,
-        # calibrates estimates, and may demand a re-placement now.
-        control = None
-        if self.controller is not None and traffic is not None:
-            if prof is not None:
-                prof.begin("control")
-            control = (
-                self.controller.step_scalar(traffic)
-                if scalar
-                else self.controller.step(traffic)
-            )
-            if control.replace_triggered:
-                migrations += self._reoptimize_all(
-                    scalar=scalar, exclude=control.excluded_nodes
+        try:
+            # 3. Churn: fail nodes, evacuate their services.
+            if self.churn is not None:
+                if prof is not None:
+                    prof.begin("churn")
+                newly_failed = (
+                    self.churn.step_scalar() if scalar else self.churn.step()
                 )
-            if control.evacuate_services:
-                migrations += self._evacuate_buffered(
-                    control.evacuate_services, scalar=scalar
-                )
+                failures = len(newly_failed)
+                self.overlay.apply_liveness(self.churn.alive_mask())
+                if newly_failed:
+                    self._evacuate(newly_failed, scalar=scalar)
+                if prof is not None:
+                    prof.end()
+
+            # 4. Refresh cost space; maybe re-optimize.
+            if prof is not None:
+                prof.begin("reopt")
+            self.overlay.refresh_cost_space()
+            if (
+                self.config.reopt_interval
+                and self.tick % self.config.reopt_interval == 0
+            ):
+                migrations += self._reoptimize_all(scalar=scalar)
             if prof is not None:
                 prof.end()
 
-        # 6b. Elastic scaling: the autoscaler folds this tick's measured
-        # per-family CPU into its EWMAs and may re-split or merge a
-        # replica family (the data plane recompiles on its next sync,
-        # re-homing in-flight tuples and per-key state).  Decisions are
-        # RNG-free, so scalar/vector twins scale identically.
-        if self.autoscaler is not None and traffic is not None:
-            if prof is not None:
-                prof.begin("scaling")
-            self.autoscaler.step()
-            if prof is not None:
-                prof.end()
+            # 5. Execute the data plane: real tuples flow over the (possibly
+            # just-migrated) placements, re-homing in-flight traffic.
+            traffic = None
+            if self.data_plane is not None:
+                if prof is not None:
+                    prof.begin("data_plane")
+                traffic = (
+                    self.data_plane.step_scalar() if scalar else self.data_plane.step()
+                )
+                if prof is not None:
+                    prof.end()
+
+            # 6. Close the loop: the controller ingests the measurements,
+            # calibrates estimates, and may demand a re-placement now.
+            control = None
+            if self.controller is not None and traffic is not None:
+                if prof is not None:
+                    prof.begin("control")
+                control = (
+                    self.controller.step_scalar(traffic)
+                    if scalar
+                    else self.controller.step(traffic)
+                )
+                if control.replace_triggered:
+                    migrations += self._reoptimize_all(
+                        scalar=scalar, exclude=control.excluded_nodes
+                    )
+                if control.evacuate_services:
+                    migrations += self._evacuate_buffered(
+                        control.evacuate_services, scalar=scalar
+                    )
+                if prof is not None:
+                    prof.end()
+
+            # 6b. Elastic scaling: the autoscaler folds this tick's measured
+            # per-family CPU into its EWMAs and may re-split or merge a
+            # replica family (the data plane recompiles on its next sync,
+            # re-homing in-flight tuples and per-key state).  Decisions are
+            # RNG-free, so scalar/vector twins scale identically.
+            if self.autoscaler is not None and traffic is not None:
+                if prof is not None:
+                    prof.begin("scaling")
+                self.autoscaler.step()
+                if prof is not None:
+                    prof.end()
+        finally:
+            # Collect the next tick's walk, also when a phase raised, so
+            # nothing is in flight once the tick returns.
+            if overlap:
+                if prof is not None:
+                    prof.begin("drift")
+                drift.step()
+                self._drift_ahead = True
+                if prof is not None:
+                    prof.end()
 
         # 7. Record.
         if prof is not None:

@@ -96,16 +96,27 @@ class AutoScalerConfig:
     alpha: float = 0.4
 
     def __post_init__(self) -> None:
-        if self.budget <= 0:
-            raise ValueError("budget must be positive")
+        # Comparisons are written so that NaN fails them.
+        if not (math.isfinite(self.budget) and self.budget > 0):
+            raise ValueError("budget must be positive and finite")
+        if not (math.isfinite(self.up_threshold) and self.up_threshold > 0):
+            raise ValueError("up_threshold must be positive and finite")
         if not 0 < self.target_util <= 1:
             raise ValueError("target_util must be in (0, 1]")
-        if self.down_threshold >= self.up_threshold:
-            raise ValueError("down_threshold must be below up_threshold")
+        if not 0 <= self.down_threshold < self.up_threshold:
+            raise ValueError("down_threshold must be in [0, up_threshold)")
         if self.k_max < 1:
             raise ValueError("k_max must be >= 1")
         if self.reopt_hold < 0:
             raise ValueError("reopt_hold must be >= 0")
+        if not self.breach_ticks >= 1:
+            raise ValueError("breach_ticks must be >= 1")
+        if not self.cold_ticks >= 1:
+            raise ValueError("cold_ticks must be >= 1")
+        if not self.cooldown >= 0:
+            raise ValueError("cooldown must be >= 0")
+        if not 0 < self.alpha <= 1:
+            raise ValueError("alpha must be in (0, 1]")
 
 
 class AutoScaler:

@@ -34,6 +34,46 @@ def chain_circuit(name="c0", producer=0, middle=1, sink=2, rate=6.0, sel=0.5):
     return circuit
 
 
+class TestControlConfig:
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("min_rate", float("nan")),
+            ("min_rate", float("inf")),
+            ("drop_threshold", float("nan")),
+            ("drop_threshold", -0.1),
+            ("drop_threshold", 1.5),
+            ("latency_threshold_ms", float("nan")),
+            ("latency_threshold_ms", float("inf")),
+            ("latency_threshold_ms", -1.0),
+            ("exclude_drop_rate", float("nan")),
+            ("exclude_drop_rate", -1.0),
+            ("shed_limit", float("nan")),
+            ("shed_limit", float("inf")),
+            ("shed_limit", 0.0),
+            ("cpu_ref", float("nan")),
+            ("cpu_ref", float("inf")),
+            ("trigger_cooldown", -1),
+        ],
+    )
+    def test_rejects_bad_value_at_construction(self, field, value):
+        # A NaN threshold never compares greater, so the policy it
+        # guards would be silently off.
+        with pytest.raises(ValueError, match=field):
+            ControlConfig(**{field: value})
+
+    def test_none_disables_and_boundaries_accepted(self):
+        ControlConfig(
+            drop_threshold=None,
+            latency_threshold_ms=None,
+            exclude_drop_rate=None,
+            shed_limit=None,
+            cpu_ref=None,
+        )
+        ControlConfig(drop_threshold=0.0, latency_threshold_ms=0.0, exclude_drop_rate=0.0)
+        ControlConfig(drop_threshold=1.0)
+
+
 class TestRateEstimator:
     def test_first_observation_initializes_ewma(self):
         est = RateEstimator(alpha=0.5)

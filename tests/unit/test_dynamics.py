@@ -1,5 +1,8 @@
 """Unit tests for load, latency-drift, and churn processes."""
 
+import multiprocessing
+import os
+
 import numpy as np
 import pytest
 
@@ -88,6 +91,123 @@ class TestLatencyDrift:
         first_values = first.values.copy()
         drift.step(3)
         assert np.array_equal(first.values, first_values)
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("drift_sigma", float("nan")),
+            ("drift_sigma", float("inf")),
+            ("drift_sigma", -0.1),
+            ("reversion", float("nan")),
+            ("reversion", 1.5),
+        ],
+    )
+    def test_rejects_bad_value_at_construction(self, field, value):
+        # A NaN sigma would turn every latency into NaN on the first step.
+        with pytest.raises(ValueError, match=field):
+            LatencyDriftProcess(self._base(), **{field: value})
+
+    def test_step_draws_normal_with_sigma(self):
+        # The kernel draws standard normals and scales them; the result
+        # must be normal(0, sigma)'s draw bit for bit, or every recorded
+        # fingerprint would move.
+        base = self._base()
+        sigma, rev = 0.07, 0.2
+        drift = LatencyDriftProcess(base, drift_sigma=sigma, reversion=rev, seed=3)
+        rows, cols = np.triu_indices(base.num_nodes, k=1)
+        flat = base.values[rows, cols]
+        noise = np.random.default_rng(3).normal(0.0, sigma, size=flat.shape[0])
+        expected = flat * np.exp(noise) * (1 - rev) + rev * flat
+        values = drift.step().values
+        assert np.array_equal(values[rows, cols], expected)
+        assert np.array_equal(values[cols, rows], expected)
+        assert np.array_equal(np.diag(values), np.zeros(base.num_nodes))
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_tiny_matrices(self, n):
+        # n = 1 has an empty upper triangle, n = 2 a single pair.
+        base = LatencyMatrix(np.full((n, n), 5.0) - 5.0 * np.eye(n))
+        vector = LatencyDriftProcess(base, drift_sigma=0.1, seed=4)
+        scalar = LatencyDriftProcess(base, drift_sigma=0.1, seed=4)
+        for _ in range(3):
+            vector.begin()
+            lv = vector.step()
+            ls = scalar.step_scalar()
+            LatencyMatrix(lv.values)  # validates symmetry, diagonal, sign
+            assert lv.values.shape == (n, n)
+            assert np.allclose(lv.values, ls.values, rtol=1e-12, atol=0.0)
+        assert vector.tick == scalar.tick == 3
+        assert (n == 1) == np.array_equal(lv.values, base.values)
+
+
+class TestDriftOverlap:
+    """``begin`` runs the next walk on the shared worker; ``step`` collects it."""
+
+    def _base(self) -> LatencyMatrix:
+        rng = np.random.default_rng(0)
+        points = rng.uniform(0, 50, size=(30, 2))
+        diff = points[:, None, :] - points[None, :, :]
+        return LatencyMatrix(np.sqrt((diff**2).sum(axis=-1)))
+
+    def test_step_after_begin_matches_fresh_twin(self):
+        base = self._base()
+        overlapped = LatencyDriftProcess(base, drift_sigma=0.05, seed=7)
+        fresh = LatencyDriftProcess(base, drift_sigma=0.05, seed=7)
+        for begin in (True, False, True, True, False):
+            if begin:
+                overlapped.begin()
+            assert np.array_equal(overlapped.step().values, fresh.step().values)
+        assert overlapped.tick == fresh.tick == 5
+        # Both consumed the same draws, so the scalar reference continues
+        # both walks alike.
+        assert np.array_equal(
+            overlapped.step_scalar().values, fresh.step_scalar().values
+        )
+
+    def test_snapshot_stays_frozen_while_advance_in_flight(self):
+        drift = LatencyDriftProcess(self._base(), drift_sigma=0.2, seed=1)
+        snapshot = drift.step()
+        frozen = snapshot.values.copy()
+        drift.begin()
+        assert np.array_equal(snapshot.values, frozen)
+        assert np.array_equal(drift.current().values, frozen)
+        following = drift.step()
+        assert following.values is not snapshot.values
+        assert not np.array_equal(following.values, frozen)
+        assert np.array_equal(snapshot.values, frozen)
+
+    def test_one_advance_in_flight_at_a_time(self):
+        drift = LatencyDriftProcess(self._base(), seed=2)
+        drift.begin()
+        with pytest.raises(RuntimeError):
+            drift.begin()
+        with pytest.raises(RuntimeError):
+            drift.step_scalar()
+        drift.step()
+        drift.step_scalar()
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs fork")
+    def test_forked_child_gets_its_own_worker(self):
+        # The child inherits the parent's executor but not its thread;
+        # without a fresh worker its first collected advance would hang.
+        drift = LatencyDriftProcess(self._base(), seed=3)
+        drift.begin()
+        drift.step()
+        child = multiprocessing.get_context("fork").Process(
+            target=_begin_and_step, args=(self._base(),)
+        )
+        child.start()
+        child.join(timeout=30)
+        if child.is_alive():
+            child.kill()
+            child.join()
+        assert child.exitcode == 0
+
+
+def _begin_and_step(base: LatencyMatrix) -> None:
+    drift = LatencyDriftProcess(base, seed=3)
+    drift.begin()
+    drift.step()
 
 
 class TestUnifiedRngDeterminism:
